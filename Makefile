@@ -4,7 +4,8 @@ GO ?= go
 
 # ci is the gate: static checks, build, the concurrency-sensitive
 # packages under the race detector, short fuzz smokes on the solver
-# cache key, the interning equivalence property, the COW memory
+# cache key, the interning equivalence property, the compiled evaluator
+# (against the tree-walk oracle), the COW memory
 # (clone/write vs a deep-copy reference model), the incremental/
 # fresh solver equivalence, the portfolio/fresh equivalence, the
 # job-journal replay (against an in-memory reference model) and the
@@ -27,6 +28,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalKey -fuzztime=5s ./internal/sym/
 	$(GO) test -run '^$$' -fuzz FuzzInternEval -fuzztime=5s ./internal/sym/
+	$(GO) test -run '^$$' -fuzz FuzzCompiledEval -fuzztime=5s ./internal/sym/
 	$(GO) test -run '^$$' -fuzz FuzzMemoryCOW -fuzztime=5s ./internal/mem/
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalEquivalence -fuzztime=5s ./internal/solver/
 	$(GO) test -run '^$$' -fuzz FuzzPortfolioEquivalence -fuzztime=5s ./internal/solver/

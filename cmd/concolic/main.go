@@ -91,38 +91,7 @@ func main() {
 	}
 	fmt.Printf("paper label: %s\n", cellLabel(out))
 	if *stats {
-		s := out.Stats
-		lookups := s.CacheHits + s.CacheMisses
-		fmt.Printf("stats: workers=%d rounds=%d peak-frontier=%d wall=%v\n",
-			s.Workers, s.Rounds, s.PeakFrontier, s.WallTime)
-		fmt.Printf("stats: solver-queries=%d cache-hits=%d cache-misses=%d cache-evictions=%d",
-			s.SolverQueries, s.CacheHits, s.CacheMisses, s.CacheEvictions)
-		if lookups > 0 {
-			fmt.Printf(" hit-rate=%.0f%%", 100*float64(s.CacheHits)/float64(lookups))
-		}
-		fmt.Println()
-		fmt.Printf("stats: intern-hits=%d intern-misses=%d arena-nodes=%d",
-			s.InternHits, s.InternMisses, s.ArenaNodes)
-		if s.InternHits+s.InternMisses > 0 {
-			fmt.Printf(" intern-hit-rate=%.0f%%", 100*s.InternHitRate())
-		}
-		fmt.Println()
-		fmt.Printf("stats: checkpoints=%d resumes=%d skipped-instructions=%d cow-faults=%d prefix-constraints-reused=%d\n",
-			s.CheckpointsTaken, s.CheckpointResumes, s.InstructionsSkipped,
-			s.PagesCOWFaulted, s.PrefixConstraintsReused)
-		fmt.Printf("stats: solver-sessions=%d incremental-checks=%d learned-retained=%d guard-literals=%d\n",
-			s.SolverSessions, s.IncrementalChecks, s.LearnedClausesRetained, s.GuardLiterals)
-		if s.PortfolioRaces > 0 || s.WarmQueryHits > 0 {
-			fmt.Printf("stats: portfolio-races=%d clauses-shared=%d clauses-imported=%d warm-hits=%d warm-clauses-seeded=%d\n",
-				s.PortfolioRaces, s.PortfolioClausesShared, s.PortfolioClausesImported,
-				s.WarmQueryHits, s.WarmClausesSeeded)
-		}
-		fmt.Printf("stats: covered-edges=%d covered-blocks=%d new-edges-per-round=%v\n",
-			s.CoveredEdges, s.CoveredBlocks, s.NewEdgesPerRound)
-		if s.FuzzExecs > 0 || s.FuzzSeedsPromoted > 0 {
-			fmt.Printf("stats: fuzz-execs=%d fuzz-seeds-promoted=%d\n",
-				s.FuzzExecs, s.FuzzSeedsPromoted)
-		}
+		cliopts.WriteStats(os.Stdout, out.Stats)
 	}
 	if *verbose {
 		for _, in := range out.Incidents {

@@ -26,11 +26,12 @@ func main() {
 	timeout := flag.Duration("timeout", 0,
 		"wall-clock deadline for the whole analysis (0 = profile budget only)")
 	list := flag.Bool("list", false, "list the package's exported functions and exit")
+	stats := flag.Bool("stats", false, "print the engine work profile (rounds, queries, cache, wall time)")
 	opts := cliopts.Register(flag.CommandLine)
 	flag.Parse()
 
 	if flag.NArg() < 1 || (!*list && flag.NArg() != 2) {
-		fmt.Fprintln(os.Stderr, "usage: congolic [-tool name] [-timeout d] <package-dir> <Func>")
+		fmt.Fprintln(os.Stderr, "usage: congolic [-tool name] [-timeout d] [-stats] <package-dir> <Func>")
 		fmt.Fprintln(os.Stderr, "       congolic -list <package-dir>")
 		os.Exit(2)
 	}
@@ -80,6 +81,9 @@ func main() {
 	var b strings.Builder
 	gofront.Render(&b, out)
 	fmt.Print(b.String())
+	if *stats {
+		cliopts.WriteStats(os.Stdout, out.Outcome.Stats)
+	}
 	if !out.Agreed() {
 		fmt.Fprintln(os.Stderr, "congolic: machine and source semantics disagree on the solved input")
 		os.Exit(1)

@@ -45,8 +45,10 @@ type Capabilities struct {
 	FP solver.FPMode
 	// SolverConflicts bounds each SAT query; exhaustion contributes to E.
 	SolverConflicts int64
-	// SolverTimeout bounds each query's wall-clock time (the paper's
-	// analysis timeout); exhaustion contributes to E.
+	// SolverTimeout bounds each query's time (the paper's analysis
+	// timeout), charged in CPU time of the query's thread so machine load
+	// does not decide it (solver.Options.Timeout); exhaustion contributes
+	// to E.
 	SolverTimeout time.Duration
 	// FPIterations bounds each FP local search.
 	FPIterations int

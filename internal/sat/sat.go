@@ -2,6 +2,13 @@
 // two-watched-literal propagation, VSIDS branching, first-UIP clause
 // learning and Luby restarts. It is the decision core under the bitvector
 // solver, playing the role MiniSat/STP/Z3 play for the paper's tools.
+//
+// Clauses live MiniSat-style in one flat arena: a header word followed
+// by the literals inline. Watchers, reasons and the clause lists hold
+// uint32 offsets into it, and the watch lists are ranges of one shared
+// watcher pool, so the solver's clause database is a handful of
+// pointer-free slices — no per-clause or per-literal heap object,
+// nothing for the garbage collector to scan.
 package sat
 
 import (
@@ -62,29 +69,54 @@ const (
 	lFalse
 )
 
-type clause struct {
-	lits    []Lit
-	learned bool
-	act     float64
+// cref is a clause reference: the offset of the clause's header in the
+// arena. The header word holds the clause size; the literals follow.
+type cref uint32
+
+// noReason marks a decision, an assumption or a level-0 unit.
+const noReason cref = math.MaxUint32
+
+// learnedClause is a learned clause and its activity, fixed at creation.
+type learnedClause struct {
+	cr  cref
+	act float64
 }
 
 type watcher struct {
-	c       *clause
+	cr      cref
 	blocker Lit
+}
+
+// wlist is one literal's watch list: n watchers at pool[off:off+n], with
+// room for cap before the list must move.
+type wlist struct {
+	off, n, cap uint32
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	clauses []*clause
-	learned []*clause
-	watches [][]watcher // indexed by literal
+	mem     []Lit // the clause arena
+	wasted  int   // arena words held by deleted clauses
+	clauses []cref
+	learned []learnedClause
+	watches []wlist   // indexed by literal
+	pool    []watcher // backing store of every watch list
 
 	assign   []lbool
 	level    []int32
-	reason   []*clause
+	reason   []cref
 	trail    []Lit
 	trailLim []int
 	qhead    int
+
+	// Scratch reused across calls: conflict-analysis marks (all false
+	// between calls), the learned-clause buffer, and AddClause's
+	// per-literal dedup stamps with the simplified-clause buffer.
+	seen     []bool
+	learnBuf []Lit
+	litStamp []uint32
+	stamp    uint32
+	addBuf   []Lit
 
 	activity []float64
 	varInc   float64
@@ -124,19 +156,22 @@ type Solver struct {
 // New returns an empty solver.
 func New() *Solver {
 	s := &Solver{varInc: 1, clauseInc: 1, ok: true}
-	s.order = &varHeap{act: &s.activity}
+	s.order = &varHeap{}
 	return s
 }
 
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
 	v := len(s.assign)
-	s.assign = append(s.assign, lUndef)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
-	s.activity = append(s.activity, 0)
-	s.polarity = append(s.polarity, s.cfg.InvertPolarity)
-	s.watches = append(s.watches, nil, nil)
+	s.assign = append(grow(s.assign, 1), lUndef)
+	s.level = append(grow(s.level, 1), 0)
+	s.reason = append(grow(s.reason, 1), noReason)
+	s.seen = append(grow(s.seen, 1), false)
+	s.litStamp = append(grow(s.litStamp, 2), 0, 0)
+	s.activity = append(grow(s.activity, 1), 0)
+	s.order.act = s.activity
+	s.polarity = append(grow(s.polarity, 1), s.cfg.InvertPolarity)
+	s.watches = append(grow(s.watches, 2), wlist{}, wlist{})
 	s.order.push(v)
 	return v
 }
@@ -147,15 +182,44 @@ func (s *Solver) NumVars() int { return len(s.assign) }
 // NumClauses returns the number of problem clauses.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
 
-func (s *Solver) litValue(l Lit) lbool {
-	a := s.assign[l.Var()]
-	if a == lUndef {
-		return lUndef
+func (s *Solver) litValue(l Lit) lbool { return value(s.assign, l) }
+
+// lits returns the literals of clause cr, aliasing the arena: valid
+// until the next clause allocation.
+func (s *Solver) lits(cr cref) []Lit {
+	n := cref(s.mem[cr])
+	return s.mem[cr+1 : cr+1+n : cr+1+n]
+}
+
+// alloc appends a clause to the arena and returns its reference.
+func (s *Solver) alloc(lits []Lit) cref {
+	cr := cref(len(s.mem))
+	s.mem = append(grow(s.mem, 1+len(lits)), Lit(len(lits)))
+	s.mem = append(s.mem, lits...)
+	return cr
+}
+
+// grow returns xs with room for n more elements. Past a few hundred
+// elements append grows a slice by only 1.25x; the solver's arrays grow
+// to hundreds of thousands of elements per query, so grow doubles
+// instead, copying each element about once rather than four times.
+func grow[T any](xs []T, n int) []T {
+	if len(xs)+n <= cap(xs) {
+		return xs
 	}
-	if (a == lTrue) != l.Neg() {
-		return lTrue
+	g := make([]T, len(xs), max(len(xs)+n, 2*cap(xs), 16))
+	copy(g, xs)
+	return g
+}
+
+// nextStamp opens a fresh literal-dedup generation.
+func (s *Solver) nextStamp() uint32 {
+	s.stamp++
+	if s.stamp == 0 {
+		clear(s.litStamp)
+		s.stamp = 1
 	}
-	return lFalse
+	return s.stamp
 }
 
 // AddClause adds a clause. It returns false if the formula became
@@ -165,13 +229,13 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		return false
 	}
 	// Simplify: drop duplicate/false literals, detect tautology.
-	seen := make(map[Lit]bool, len(lits))
-	out := lits[:0:0]
+	st := s.nextStamp()
+	out := s.addBuf[:0]
 	for _, l := range lits {
-		if seen[l.Not()] {
+		if s.litStamp[l.Not()] == st {
 			return true // tautology
 		}
-		if seen[l] {
+		if s.litStamp[l] == st {
 			continue
 		}
 		switch s.litValue(l) {
@@ -182,9 +246,10 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 				continue // permanently false
 			}
 		}
-		seen[l] = true
+		s.litStamp[l] = st
 		out = append(out, l)
 	}
+	s.addBuf = out
 	switch len(out) {
 	case 0:
 		s.ok = false
@@ -194,25 +259,46 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			s.ok = false
 			return false
 		}
-		s.enqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.enqueue(out[0], noReason)
+		if s.propagate() != noReason {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: out}
-	s.clauses = append(s.clauses, c)
-	s.watch(c)
+	cr := s.alloc(out)
+	s.clauses = append(s.clauses, cr)
+	s.watch(cr)
 	return true
 }
 
-func (s *Solver) watch(c *clause) {
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{c: c, blocker: c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c: c, blocker: c.lits[0]})
+func (s *Solver) watch(cr cref) {
+	l0, l1 := s.mem[cr+1], s.mem[cr+2]
+	s.addWatch(l0.Not(), watcher{cr: cr, blocker: l1})
+	s.addWatch(l1.Not(), watcher{cr: cr, blocker: l0})
 }
 
-func (s *Solver) enqueue(l Lit, from *clause) {
+// watchFirst is the capacity a watch list starts with.
+const watchFirst = 4
+
+// addWatch appends w to l's watch list. A full list moves to a fresh
+// range of twice its capacity at the end of the pool, keeping its order;
+// the range it leaves is not reused, which bounds the pool by twice the
+// lists' capacities, as doubling slices would be.
+func (s *Solver) addWatch(l Lit, w watcher) {
+	wl := &s.watches[l]
+	if wl.n == wl.cap {
+		c := max(watchFirst, 2*wl.cap)
+		off := uint32(len(s.pool))
+		s.pool = grow(s.pool, int(c))[:len(s.pool)+int(c)]
+		copy(s.pool[off:], s.pool[wl.off:wl.off+wl.n])
+		wl.off, wl.cap = off, c
+	}
+	s.pool[wl.off+wl.n] = w
+	wl.n++
+}
+
+func (s *Solver) enqueue(l Lit, from cref) {
 	v := l.Var()
 	if l.Neg() {
 		s.assign[v] = lFalse
@@ -224,40 +310,52 @@ func (s *Solver) enqueue(l Lit, from *clause) {
 	s.trail = append(s.trail, l)
 }
 
-func (s *Solver) propagate() *clause {
+// propagate runs unit propagation to fixpoint, returning the conflicting
+// clause or noReason.
+func (s *Solver) propagate() cref {
+	// assign and mem are not reallocated during propagation (enqueue
+	// only writes assign's elements); the pool can be, by addWatch, so
+	// it is re-read after every addWatch.
+	assign, mem, pool := s.assign, s.mem, s.pool
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.props++
-		ws := s.watches[p]
-		kept := ws[:0]
-		var conflict *clause
-		for i := 0; i < len(ws); i++ {
-			w := ws[i]
-			if conflict != nil {
-				kept = append(kept, ws[i:]...)
-				break
-			}
-			if s.litValue(w.blocker) == lTrue {
-				kept = append(kept, w)
+		falseLit := p.Not()
+		// p's list is filtered in place: kept watchers are written back
+		// at j. addWatch never targets p (it watches a non-false
+		// literal), so only the pool's address can change under the loop.
+		wl := &s.watches[p]
+		i, end := wl.off, wl.off+wl.n
+		j := i
+		for i < end {
+			w := pool[i]
+			i++
+			if value(assign, w.blocker) == lTrue {
+				pool[j] = w
+				j++
 				continue
 			}
-			c := w.c
+			cr := w.cr
+			n := cref(mem[cr])
+			lits := mem[cr+1 : cr+1+n : cr+1+n]
 			// Ensure lits[1] is the false literal p.Not().
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.litValue(first) == lTrue {
-				kept = append(kept, watcher{c: c, blocker: first})
+			first := lits[0]
+			if first != w.blocker && value(assign, first) == lTrue {
+				pool[j] = watcher{cr: cr, blocker: first}
+				j++
 				continue
 			}
 			// Find a new literal to watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.litValue(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c: c, blocker: first})
+			for k := 2; k < len(lits); k++ {
+				if value(assign, lits[k]) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.addWatch(lits[1].Not(), watcher{cr: cr, blocker: first})
+					pool = s.pool
 					found = true
 					break
 				}
@@ -266,20 +364,32 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			// Unit or conflict.
-			kept = append(kept, w)
-			if s.litValue(first) == lFalse {
-				conflict = c
+			pool[j] = w
+			j++
+			if value(assign, first) == lFalse {
+				// Keep the unvisited watchers and stop.
+				j += uint32(copy(pool[j:end], pool[i:end]))
+				wl.n = j - wl.off
 				s.qhead = len(s.trail)
-				continue
+				return cr
 			}
-			s.enqueue(first, c)
+			s.enqueue(first, cr)
 		}
-		s.watches[p] = kept
-		if conflict != nil {
-			return conflict
-		}
+		wl.n = j - wl.off
 	}
-	return nil
+	return noReason
+}
+
+// value is a literal's value under the assignment assign.
+func value(assign []lbool, l Lit) lbool {
+	a := assign[l.Var()]
+	if a == lUndef {
+		return lUndef
+	}
+	if (a == lTrue) != l.Neg() {
+		return lTrue
+	}
+	return lFalse
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
@@ -294,7 +404,7 @@ func (s *Solver) backtrack(level int) {
 		v := s.trail[i].Var()
 		s.polarity[v] = s.assign[v] == lTrue
 		s.assign[v] = lUndef
-		s.reason[v] = nil
+		s.reason[v] = noReason
 		s.order.push(v)
 	}
 	s.trail = s.trail[:s.trailLim[level]]
@@ -303,10 +413,11 @@ func (s *Solver) backtrack(level int) {
 }
 
 // analyze performs first-UIP conflict analysis, returning the learned
-// clause (with the asserting literal first) and the backtrack level.
-func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 for the asserting literal
-	seen := make([]bool, len(s.assign))
+// clause (with the asserting literal first) and the backtrack level. The
+// clause aliases a solver-owned buffer, valid until the next conflict.
+func (s *Solver) analyze(conflict cref) ([]Lit, int) {
+	learnt := append(s.learnBuf[:0], 0) // slot 0 for the asserting literal
+	seen := s.seen
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
@@ -317,8 +428,9 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
 		if p != -1 {
 			start = 1
 		}
-		for i := start; i < len(c.lits); i++ {
-			q := c.lits[i]
+		lits := s.lits(c)
+		for i := start; i < len(lits); i++ {
+			q := lits[i]
 			v := q.Var()
 			if seen[v] || s.level[v] == 0 {
 				continue
@@ -346,6 +458,11 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
 		c = s.reason[v]
 	}
 	learnt[0] = p.Not()
+	// The tail literals are the only marks left standing.
+	for _, q := range learnt[1:] {
+		seen[q.Var()] = false
+	}
+	s.learnBuf = learnt
 
 	// Compute backtrack level: max level among tail literals.
 	btLevel := 0
@@ -401,44 +518,90 @@ func (s *Solver) reduceLearned() {
 	if len(s.learned) < 4000 {
 		return
 	}
-	// Drop the less active half, keeping reason clauses.
-	lim := medianAct(s.learned)
+	// Drop the learned clauses below the mean activity, keeping reasons
+	// and binaries.
+	lim := meanAct(s.learned)
 	kept := s.learned[:0]
-	for _, c := range s.learned {
-		if c.act >= lim || s.isReason(c) || len(c.lits) <= 2 {
-			kept = append(kept, c)
+	for _, l := range s.learned {
+		n := int(s.mem[l.cr])
+		if l.act >= lim || s.isReason(l.cr) || n <= 2 {
+			kept = append(kept, l)
 		} else {
-			s.unwatch(c)
+			s.unwatch(l.cr)
+			s.wasted += 1 + n
 			s.deletedN++
 		}
 	}
 	s.learned = kept
-}
-
-func medianAct(cs []*clause) float64 {
-	var sum float64
-	for _, c := range cs {
-		sum += c.act
+	if s.wasted > len(s.mem)/5 {
+		s.compact()
 	}
-	return sum / float64(len(cs))
 }
 
-func (s *Solver) isReason(c *clause) bool {
-	v := c.lits[0].Var()
-	return s.assign[v] != lUndef && s.reason[v] == c
+// meanAct is the mean activity of the learned clauses: the reduction
+// threshold.
+func meanAct(ls []learnedClause) float64 {
+	var sum float64
+	for _, l := range ls {
+		sum += l.act
+	}
+	return sum / float64(len(ls))
 }
 
-func (s *Solver) unwatch(c *clause) {
-	for _, w := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
-		ws := s.watches[w]
+func (s *Solver) isReason(cr cref) bool {
+	v := s.mem[cr+1].Var()
+	return s.assign[v] != lUndef && s.reason[v] == cr
+}
+
+func (s *Solver) unwatch(cr cref) {
+	for _, l := range [2]Lit{s.mem[cr+1].Not(), s.mem[cr+2].Not()} {
+		wl := &s.watches[l]
+		ws := s.pool[wl.off : wl.off+wl.n]
 		for i := range ws {
-			if ws[i].c == c {
+			if ws[i].cr == cr {
 				ws[i] = ws[len(ws)-1]
-				s.watches[w] = ws[:len(ws)-1]
+				wl.n--
 				break
 			}
 		}
 	}
+}
+
+// compact copies the live clauses into a fresh arena, reclaiming the
+// words of deleted ones, and rewrites every reference. Clause order,
+// literal order and watch-list order are all preserved, so the search
+// cannot tell a compaction happened.
+func (s *Solver) compact() {
+	mem := make([]Lit, 0, len(s.mem)-s.wasted)
+	// Each live clause (every one has at least two literals) leaves its
+	// new offset in its old first-literal slot.
+	move := func(cr cref) cref {
+		n := cref(s.mem[cr])
+		to := cref(len(mem))
+		mem = append(mem, s.mem[cr:cr+1+n]...)
+		s.mem[cr+1] = Lit(to)
+		return to
+	}
+	forward := func(cr cref) cref { return cref(s.mem[cr+1]) }
+	for i := range s.clauses {
+		s.clauses[i] = move(s.clauses[i])
+	}
+	for i := range s.learned {
+		s.learned[i].cr = move(s.learned[i].cr)
+	}
+	for _, wl := range s.watches {
+		ws := s.pool[wl.off : wl.off+wl.n]
+		for i := range ws {
+			ws[i].cr = forward(ws[i].cr)
+		}
+	}
+	for v, r := range s.reason {
+		if r != noReason {
+			s.reason[v] = forward(r)
+		}
+	}
+	s.mem = mem
+	s.wasted = 0
 }
 
 // luby computes the Luby restart sequence.
@@ -469,10 +632,11 @@ func (s *Solver) SolveDeadline(maxConflicts int64, deadline time.Time) Status {
 }
 
 // SolveInterruptible is SolveDeadline with an additional interruption
-// probe, polled at restart boundaries (every few hundred conflicts).
-// When interrupted returns true the search gives up with Unknown, which
-// is how a cancelled analysis context stops a long-running query without
-// waiting for its conflict or wall-clock budget. A nil probe means none.
+// probe. The deadline and the probe are polled after every conflict and
+// at every restart boundary. When interrupted returns true the search
+// gives up with Unknown, which is how a cancelled analysis context stops
+// a long-running query without waiting for its conflict or wall-clock
+// budget. A nil probe means none.
 func (s *Solver) SolveInterruptible(maxConflicts int64, deadline time.Time, interrupted func() bool) Status {
 	return s.SolveAssuming(nil, maxConflicts, deadline, interrupted)
 }
@@ -496,13 +660,13 @@ func (s *Solver) SolveAssuming(assumptions []Lit, maxConflicts int64, deadline t
 	if maxConflicts > 0 && s.conflicts < math.MaxInt64-maxConflicts {
 		limit = s.conflicts + maxConflicts
 	}
+	stop := func() bool {
+		return (!deadline.IsZero() && time.Now().After(deadline)) ||
+			(interrupted != nil && interrupted())
+	}
 	restart := int64(0)
 	for s.conflicts < limit {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			s.backtrack(0)
-			return Unknown
-		}
-		if interrupted != nil && interrupted() {
+		if stop() {
 			s.backtrack(0)
 			return Unknown
 		}
@@ -515,7 +679,7 @@ func (s *Solver) SolveAssuming(assumptions []Lit, maxConflicts int64, deadline t
 		restart++
 		s.restarts++
 		budget := s.restartBudget(restart)
-		switch st := s.search(budget, limit, assumptions); st {
+		switch st := s.search(budget, limit, assumptions, stop); st {
 		case Sat:
 			s.saveModel()
 			s.backtrack(0)
@@ -537,11 +701,14 @@ func (s *Solver) SolveAssuming(assumptions []Lit, maxConflicts int64, deadline t
 // valid until the next Solve* call.
 func (s *Solver) FinalConflict() []Lit { return s.finalConf }
 
-func (s *Solver) search(budget, limit int64, assumptions []Lit) Status {
+// search runs CDCL until a verdict, the restart budget, the call's
+// conflict limit, or stop — polled after every conflict, so an expired
+// deadline or a cancelled context costs at most one conflict's work.
+func (s *Solver) search(budget, limit int64, assumptions []Lit, stop func() bool) Status {
 	local := int64(0)
 	for {
 		conflict := s.propagate()
-		if conflict != nil {
+		if conflict != noReason {
 			s.conflicts++
 			local++
 			if s.decisionLevel() == 0 {
@@ -552,16 +719,16 @@ func (s *Solver) search(budget, limit int64, assumptions []Lit) Status {
 			s.exportLearned(learnt)
 			s.backtrack(btLevel)
 			if len(learnt) == 1 {
-				s.enqueue(learnt[0], nil)
+				s.enqueue(learnt[0], noReason)
 			} else {
-				c := &clause{lits: learnt, learned: true, act: s.clauseInc}
-				s.learned = append(s.learned, c)
+				cr := s.alloc(learnt)
+				s.learned = append(s.learned, learnedClause{cr: cr, act: s.clauseInc})
 				s.learnedN++
-				s.watch(c)
-				s.enqueue(learnt[0], c)
+				s.watch(cr)
+				s.enqueue(learnt[0], cr)
 			}
 			s.decayActivities()
-			if local >= budget || s.conflicts >= limit {
+			if local >= budget || s.conflicts >= limit || stop() {
 				return Unknown
 			}
 			continue
@@ -581,7 +748,7 @@ func (s *Solver) search(budget, limit int64, assumptions []Lit) Status {
 				return Unsat
 			default:
 				s.newDecisionLevel()
-				s.enqueue(p, nil)
+				s.enqueue(p, noReason)
 			}
 			continue
 		}
@@ -590,7 +757,7 @@ func (s *Solver) search(budget, limit int64, assumptions []Lit) Status {
 			return Sat
 		}
 		s.newDecisionLevel()
-		s.enqueue(MkLit(v, !s.polarity[v]), nil)
+		s.enqueue(MkLit(v, !s.polarity[v]), noReason)
 	}
 }
 
@@ -603,26 +770,30 @@ func (s *Solver) analyzeFinal(p Lit) {
 	if s.decisionLevel() == 0 {
 		return
 	}
-	seen := make([]bool, len(s.assign))
+	seen := s.seen
 	seen[p.Var()] = true
 	for i := len(s.trail) - 1; i >= s.trailLim[0]; i-- {
 		v := s.trail[i].Var()
 		if !seen[v] {
 			continue
 		}
-		if c := s.reason[v]; c == nil {
+		if cr := s.reason[v]; cr == noReason {
 			if s.level[v] > 0 {
 				s.finalConf = append(s.finalConf, s.trail[i])
 			}
 		} else {
-			for j := 1; j < len(c.lits); j++ {
-				if s.level[c.lits[j].Var()] > 0 {
-					seen[c.lits[j].Var()] = true
+			lits := s.lits(cr)
+			for j := 1; j < len(lits); j++ {
+				if s.level[lits[j].Var()] > 0 {
+					seen[lits[j].Var()] = true
 				}
 			}
 		}
 		seen[v] = false
 	}
+	// Every mark above level 0 was cleared on the trail walk; p's own
+	// variable may sit at level 0.
+	seen[p.Var()] = false
 }
 
 // saveModel snapshots the current (total) assignment so Value stays
@@ -669,26 +840,24 @@ func (s *Solver) Stats() Stats {
 	}
 }
 
-// varHeap is a max-heap over variable activity.
+// varHeap is a max-heap of variables ordered by activity.
 type varHeap struct {
-	act     *[]float64
-	heap    []int
-	indices []int
+	act     []float64 // the solver's activity array (re-pointed on growth)
+	heap    []int32
+	indices []int32 // variable -> heap position, -1 when absent
 }
 
 func (h *varHeap) size() int { return len(h.heap) }
 
-func (h *varHeap) less(a, b int) bool { return (*h.act)[a] > (*h.act)[b] }
-
 func (h *varHeap) push(v int) {
 	for len(h.indices) <= v {
-		h.indices = append(h.indices, -1)
+		h.indices = append(grow(h.indices, 1), -1)
 	}
 	if h.indices[v] >= 0 {
 		return
 	}
-	h.heap = append(h.heap, v)
-	h.indices[v] = len(h.heap) - 1
+	h.heap = append(grow(h.heap, 1), int32(v))
+	h.indices[v] = int32(len(h.heap) - 1)
 	h.up(len(h.heap) - 1)
 }
 
@@ -702,48 +871,50 @@ func (h *varHeap) pop() int {
 		h.indices[last] = 0
 		h.down(0)
 	}
-	return v
+	return int(v)
 }
 
 func (h *varHeap) update(v int) {
 	if len(h.indices) > v && h.indices[v] >= 0 {
-		h.up(h.indices[v])
+		h.up(int(h.indices[v]))
 	}
 }
 
 func (h *varHeap) up(i int) {
-	v := h.heap[i]
+	heap, idx, act := h.heap, h.indices, h.act
+	v := heap[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h.less(v, h.heap[p]) {
+		if !(act[v] > act[heap[p]]) {
 			break
 		}
-		h.heap[i] = h.heap[p]
-		h.indices[h.heap[i]] = i
+		heap[i] = heap[p]
+		idx[heap[i]] = int32(i)
 		i = p
 	}
-	h.heap[i] = v
-	h.indices[v] = i
+	heap[i] = v
+	idx[v] = int32(i)
 }
 
 func (h *varHeap) down(i int) {
-	v := h.heap[i]
+	heap, idx, act := h.heap, h.indices, h.act
+	v := heap[i]
 	for {
 		l := 2*i + 1
-		if l >= len(h.heap) {
+		if l >= len(heap) {
 			break
 		}
 		c := l
-		if r := l + 1; r < len(h.heap) && h.less(h.heap[r], h.heap[l]) {
+		if r := l + 1; r < len(heap) && act[heap[r]] > act[heap[l]] {
 			c = r
 		}
-		if !h.less(h.heap[c], v) {
+		if !(act[heap[c]] > act[v]) {
 			break
 		}
-		h.heap[i] = h.heap[c]
-		h.indices[h.heap[i]] = i
+		heap[i] = heap[c]
+		idx[heap[i]] = int32(i)
 		i = c
 	}
-	h.heap[i] = v
-	h.indices[v] = i
+	heap[i] = v
+	idx[v] = int32(i)
 }

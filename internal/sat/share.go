@@ -52,8 +52,9 @@ func (s *Solver) SetLearnHook(hook func(lits []Lit, lbd int)) {
 // reuse them.
 //
 // ImportLearned itself is not goroutine-safe: call it from the solver's
-// goroutine (e.g. inside the SolveInterruptible probe, which runs at
-// level 0).
+// goroutine (e.g. inside the SolveInterruptible probe). It only queues;
+// adoption waits for the next restart boundary whatever the decision
+// level at the call.
 func (s *Solver) ImportLearned(clauses [][]Lit) {
 	for _, lits := range clauses {
 		s.importQ = append(s.importQ, append([]Lit(nil), lits...))
@@ -83,16 +84,16 @@ func (s *Solver) adoptClause(lits []Lit) bool {
 	if !s.ok {
 		return false
 	}
-	seen := make(map[Lit]bool, len(lits))
-	out := lits[:0:0]
+	st := s.nextStamp()
+	out := s.addBuf[:0]
 	for _, l := range lits {
 		if l < 0 || l.Var() >= len(s.assign) {
 			return true // foreign variable: drop the clause
 		}
-		if seen[l.Not()] {
+		if s.litStamp[l.Not()] == st {
 			return true // tautology
 		}
-		if seen[l] {
+		if s.litStamp[l] == st {
 			continue
 		}
 		switch s.litValue(l) {
@@ -105,9 +106,10 @@ func (s *Solver) adoptClause(lits []Lit) bool {
 				continue // permanently false literal
 			}
 		}
-		seen[l] = true
+		s.litStamp[l] = st
 		out = append(out, l)
 	}
+	s.addBuf = out
 	switch len(out) {
 	case 0:
 		s.ok = false
@@ -121,17 +123,17 @@ func (s *Solver) adoptClause(lits []Lit) bool {
 		if s.litValue(out[0]) == lTrue {
 			return true
 		}
-		s.enqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.enqueue(out[0], noReason)
+		if s.propagate() != noReason {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: out, learned: true, act: s.clauseInc}
-	s.learned = append(s.learned, c)
+	cr := s.alloc(out)
+	s.learned = append(s.learned, learnedClause{cr: cr, act: s.clauseInc})
 	s.importedN++
-	s.watch(c)
+	s.watch(cr)
 	return true
 }
 

@@ -23,7 +23,7 @@ import (
 // (completion and minimization) run per call on a copy — a hit returns
 // bit-for-bit what a fresh Solve would have. Float systems go through the
 // stochastic search, whose result depends on the caller's seed, so they
-// bypass the cache. Unknown verdicts caused by the wall-clock deadline
+// bypass the cache. Unknown verdicts caused by the Timeout or the context
 // (as opposed to the deterministic conflict budget) are not stored.
 //
 // A Cache may be backed by a shared tier (SetShared): a persistent,
@@ -200,8 +200,9 @@ func finishBV(res cachedResult, constraints []sym.Expr, opts Options) Result {
 		return Result{Status: res.status, Conflicts: res.conflicts}
 	}
 	model := cloneEnv(res.model)
-	completeModel(model, constraints, opts.Seed)
-	minimizeModel(model, constraints, opts.Seed)
+	prog := sym.Compile(constraints...)
+	completeModel(model, prog, opts.Seed)
+	minimizeModel(model, prog, opts.Seed)
 	return Result{Status: StatusSat, Model: model, Conflicts: res.conflicts}
 }
 

@@ -251,10 +251,8 @@ func warmResult(e warmstore.QueryEntry, system []sym.Expr) (cachedResult, bool) 
 	case StatusUnsat:
 		return cachedResult{status: StatusUnsat, conflicts: e.Conflicts}, true
 	case StatusSat:
-		for _, c := range system {
-			if sym.Eval(c, e.Model) != 1 {
-				return cachedResult{}, false
-			}
+		if !sym.Compile(system...).Satisfied(e.Model) {
+			return cachedResult{}, false
 		}
 		return cachedResult{status: StatusSat, conflicts: e.Conflicts, model: e.Model}, true
 	}
@@ -391,16 +389,9 @@ func (p *Portfolio) freshWorker(ctx context.Context, system []sym.Expr, opts Opt
 	cfg sat.Config, exKey string, origin int) (st Status, model map[string]uint64,
 	conflicts int64, timedOut bool, imported, shared int64, err error) {
 
-	var deadline time.Time
-	if opts.Timeout > 0 {
-		deadline = time.Now().Add(opts.Timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
-	expired := func() bool {
-		return ctx.Err() != nil || (!deadline.IsZero() && time.Now().After(deadline))
-	}
+	clock := startQuery(ctx, opts.Timeout)
+	defer clock.stop()
+	expired := clock.expired
 
 	s := sat.New()
 	s.Configure(cfg)
@@ -428,14 +419,15 @@ func (p *Portfolio) freshWorker(ctx context.Context, system []sym.Expr, opts Opt
 				shared++
 			}
 		})
-		// The probe runs on the solver's goroutine at decision level 0 —
-		// the sound point to queue peer clauses for adoption.
+		// Peer clauses are queued here and from the probe, both on the
+		// solver's goroutine; the solver adopts them at restart
+		// boundaries, at decision level 0.
 		var pulled [][]sat.Lit
 		pulled, cursor = p.ex.Pull(exKey, origin, cursor)
 		s.ImportLearned(pulled)
 	}
 	probe := func() bool {
-		if ctx.Err() != nil {
+		if expired() {
 			return true
 		}
 		if p.ex != nil {
@@ -448,7 +440,7 @@ func (p *Portfolio) freshWorker(ctx context.Context, system []sym.Expr, opts Opt
 		return false
 	}
 
-	res := s.SolveInterruptible(opts.MaxConflicts, deadline, probe)
+	res := s.SolveInterruptible(opts.MaxConflicts, time.Time{}, probe)
 	stats := s.Stats()
 	conflicts = stats.Conflicts
 	imported = stats.Imported

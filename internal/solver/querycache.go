@@ -138,10 +138,8 @@ func validateShared(res CachedResult, constraints []sym.Expr) (cachedResult, boo
 	case StatusUnsat, StatusUnknown:
 		return cachedResult{status: res.Status, conflicts: res.Conflicts}, true
 	case StatusSat:
-		for _, c := range constraints {
-			if sym.Eval(c, res.Model) != 1 {
-				return cachedResult{}, false
-			}
+		if !sym.Compile(constraints...).Satisfied(res.Model) {
+			return cachedResult{}, false
 		}
 		return cachedResult{status: StatusSat, conflicts: res.Conflicts, model: res.Model}, true
 	}

@@ -203,16 +203,9 @@ func (s *Session) CheckSeeded(negated sym.Expr, randSeed int64) (Result, error) 
 		return Result{Status: StatusUnknown}, nil
 	}
 
-	var deadline time.Time
-	if opts.Timeout > 0 {
-		deadline = time.Now().Add(opts.Timeout)
-	}
-	if d, ok := s.ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
-	expired := func() bool {
-		return s.interrupted() || (!deadline.IsZero() && time.Now().After(deadline))
-	}
+	clock := startQuery(s.ctx, opts.Timeout)
+	defer clock.stop()
+	expired := func() bool { return s.interrupted() || clock.expired() }
 	if expired() {
 		return Result{Status: StatusUnknown}, nil
 	}
@@ -236,7 +229,7 @@ func (s *Session) CheckSeeded(negated sym.Expr, randSeed int64) (Result, error) 
 	s.stats.IncrementalChecks++
 
 	before := s.sat.Stats().Conflicts
-	st := s.sat.SolveAssuming([]sat.Lit{g}, opts.MaxConflicts, deadline, s.interrupted)
+	st := s.sat.SolveAssuming([]sat.Lit{g}, opts.MaxConflicts, time.Time{}, expired)
 	conflicts := s.sat.Stats().Conflicts - before
 	s.stats.Conflicts += conflicts
 

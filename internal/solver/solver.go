@@ -6,7 +6,7 @@
 //
 // The local-search FP solver substitutes for Z3's floating-point theory:
 // it proposes assignments, evaluates the constraint system concretely
-// through sym.Eval (which implements exact IEEE-754 semantics), and hill
+// through a compiled sym.Program (exact IEEE-754 semantics), and hill
 // climbs on a distance objective. This is the same observable behaviour —
 // solve small FP systems, fail on hard ones — with a documented different
 // mechanism (DESIGN.md, substitution D4).
@@ -67,8 +67,10 @@ type Options struct {
 	FP FPMode
 	// FPIterations bounds the local search (0 = default).
 	FPIterations int
-	// Timeout bounds the wall-clock time of one query (0 = none); it
-	// models the per-task analysis timeout of the paper's experiments.
+	// Timeout bounds the time of one query (0 = none); it models the
+	// per-task analysis timeout of the paper's experiments. It is charged
+	// in CPU time of the query's thread (see queryClock), so machine load
+	// does not turn a decided query into an Unknown.
 	Timeout time.Duration
 	// Seed provides starting values for local search and model completion;
 	// typically the current concrete input.
@@ -126,12 +128,7 @@ func SolveContext(ctx context.Context, constraints []sym.Expr, opts Options) (Re
 	if err != nil {
 		return Result{}, err
 	}
-	if st == StatusSat {
-		completeModel(model, constraints, opts.Seed)
-		minimizeModel(model, constraints, opts.Seed)
-		return Result{Status: StatusSat, Model: model, Conflicts: conflicts}, nil
-	}
-	return Result{Status: st, Conflicts: conflicts}, nil
+	return finishBV(cachedResult{status: st, conflicts: conflicts, model: model}, constraints, opts), nil
 }
 
 func applyDefaults(opts *Options) {
@@ -174,20 +171,12 @@ func solveFloat(ctx context.Context, constraints []sym.Expr, opts Options) Resul
 // is raw — straight from the SAT assignment, before seed completion and
 // minimization — so its value depends only on the constraint slice and
 // the conflict budget, never on the caller's seed. timedOut reports that
-// an Unknown verdict was (or may have been) caused by the wall-clock
-// deadline or by context cancellation rather than the deterministic
-// conflict budget.
+// an Unknown verdict was (or may have been) caused by the Timeout or by
+// the context rather than the deterministic conflict budget.
 func solveBV(ctx context.Context, constraints []sym.Expr, opts Options) (st Status, model map[string]uint64, conflicts int64, timedOut bool, err error) {
-	var deadline time.Time
-	if opts.Timeout > 0 {
-		deadline = time.Now().Add(opts.Timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
-	expired := func() bool {
-		return ctx.Err() != nil || (!deadline.IsZero() && time.Now().After(deadline))
-	}
+	clock := startQuery(ctx, opts.Timeout)
+	defer clock.stop()
+	expired := clock.expired
 	s := sat.New()
 	enc := bitblast.New(s)
 	for _, c := range constraints {
@@ -204,7 +193,7 @@ func solveBV(ctx context.Context, constraints []sym.Expr, opts Options) (st Stat
 			return 0, nil, 0, false, err
 		}
 	}
-	res := s.SolveInterruptible(opts.MaxConflicts, deadline, func() bool { return ctx.Err() != nil })
+	res := s.SolveInterruptible(opts.MaxConflicts, time.Time{}, expired)
 	conflicts = s.Stats().Conflicts
 	switch res {
 	case sat.Sat:
@@ -217,39 +206,38 @@ func solveBV(ctx context.Context, constraints []sym.Expr, opts Options) (st Stat
 }
 
 // minimizeModel greedily resets variables to their seed values where the
-// constraint system stays satisfied, removing solver-chosen junk from
-// generated inputs (deterministic: variables in sorted order).
-func minimizeModel(model map[string]uint64, constraints []sym.Expr, seed map[string]uint64) {
+// constraint system (compiled as prog) stays satisfied, removing
+// solver-chosen junk from generated inputs (deterministic: variables in
+// sorted order). Each step re-evaluates only the changed variable's cone.
+func minimizeModel(model map[string]uint64, prog *sym.Program, seed map[string]uint64) {
 	if len(seed) == 0 {
 		return
 	}
-	satisfied := func() bool {
-		for _, c := range constraints {
-			if sym.Eval(c, model) != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if !satisfied() {
+	env := prog.Bind(model)
+	prog.Run(env)
+	if !prog.Holds() {
 		return // model completion can violate unrelated seeds; keep as is
 	}
-	for _, name := range sym.Vars(constraints...) {
+	for s, name := range prog.Vars() {
 		sv, ok := seed[name]
-		if !ok || model[name] == sv {
+		if !ok || env[s] == sv {
 			continue
 		}
-		old := model[name]
-		model[name] = sv
-		if !satisfied() {
-			model[name] = old
+		old := env[s]
+		env[s] = sv
+		prog.Rerun(env, s)
+		if prog.Holds() {
+			model[name] = sv
+			continue
 		}
+		env[s] = old
+		prog.Rerun(env, s)
 	}
 }
 
 // completeModel fills variables missing from the model with seed values.
-func completeModel(model map[string]uint64, constraints []sym.Expr, seed map[string]uint64) {
-	for name := range sym.VarWidths(constraints...) {
+func completeModel(model map[string]uint64, prog *sym.Program, seed map[string]uint64) {
+	for _, name := range prog.Vars() {
 		if _, ok := model[name]; !ok {
 			model[name] = seed[name]
 		}
@@ -332,49 +320,54 @@ func bareVarSide(b *sym.Bin) (v *sym.Var, other sym.Expr, leftVar bool) {
 // fpSearch hill-climbs over the constraint variables, evaluating the
 // system concretely. Moves include random byte mutations, digit-targeted
 // mutations (inputs are usually numeric strings), and wholesale numeric
-// rendering of log-uniform floats into byte-variable groups.
+// rendering of log-uniform floats into byte-variable groups. Candidates
+// are slot vectors over the compiled system, so a step costs one program
+// run and no map traffic.
 func fpSearch(ctx context.Context, constraints []sym.Expr, opts Options) Result {
 	rng := rand.New(rand.NewSource(opts.RandSeed + 1))
-	widths := sym.VarWidths(constraints...)
-	names := sym.Vars(constraints...)
+	prog := sym.Compile(constraints...)
+	names := prog.Vars()
 	if len(names) == 0 {
 		// No variables: just evaluate.
-		if penaltyAll(constraints, nil) == 0 {
+		prog.Run(nil)
+		if penaltyAll(prog, constraints) == 0 {
 			return Result{Status: StatusSat, Model: map[string]uint64{}}
 		}
 		return Result{Status: StatusUnsat}
 	}
 
-	env := make(map[string]uint64, len(names))
-	for _, n := range names {
-		env[n] = opts.Seed[n] & maskFor(widths[n])
+	env := make([]uint64, len(names))
+	for s, n := range names {
+		env[s] = opts.Seed[n] & maskFor(prog.Width(s))
 	}
-	best := penaltyAll(constraints, env)
+	prog.Run(env)
+	best := penaltyAll(prog, constraints)
 	if best == 0 {
-		return Result{Status: StatusSat, Model: cloneEnv(env)}
+		return Result{Status: StatusSat, Model: envMap(names, env)}
 	}
 
 	// Group byte variables by prefix for numeric-rendering moves:
 	// "argv1[3]" -> group "argv1[", index 3.
-	groups := byteGroups(names, widths)
+	groups := byteGroups(prog)
 
+	cand := make([]uint64, len(env))
 	for it := 0; it < opts.FPIterations; it++ {
 		if it&1023 == 0 && ctx.Err() != nil {
 			return Result{Status: StatusUnknown}
 		}
-		cand := cloneEnv(env)
+		copy(cand, env)
 		switch rng.Intn(10) {
 		case 0, 1, 2:
 			// Random single-variable mutation.
-			n := names[rng.Intn(len(names))]
-			cand[n] = mutate(rng, cand[n], widths[n])
+			s := rng.Intn(len(names))
+			cand[s] = mutate(rng, cand[s], prog.Width(s))
 		case 3, 4, 5:
 			// Digit-targeted mutation for byte variables.
-			n := names[rng.Intn(len(names))]
-			if widths[n] == 8 {
-				cand[n] = uint64('0' + rng.Intn(10))
+			s := rng.Intn(len(names))
+			if prog.Width(s) == 8 {
+				cand[s] = uint64('0' + rng.Intn(10))
 			} else {
-				cand[n] = mutate(rng, cand[n], widths[n])
+				cand[s] = mutate(rng, cand[s], prog.Width(s))
 			}
 		case 6, 7:
 			// Render a log-uniform float into a byte group.
@@ -384,28 +377,39 @@ func fpSearch(ctx context.Context, constraints []sym.Expr, opts Options) Result 
 			}
 		case 8:
 			// Small numeric nudge on a 64-bit variable.
-			n := names[rng.Intn(len(names))]
+			s := rng.Intn(len(names))
 			delta := uint64(rng.Intn(5)) - 2
-			cand[n] = (cand[n] + delta) & maskFor(widths[n])
+			cand[s] = (cand[s] + delta) & maskFor(prog.Width(s))
 		default:
 			// Restart a random subset.
-			for _, n := range names {
+			for s := range names {
 				if rng.Intn(3) == 0 {
-					cand[n] = mutate(rng, cand[n], widths[n])
+					cand[s] = mutate(rng, cand[s], prog.Width(s))
 				}
 			}
 		}
-		p := penaltyAll(constraints, cand)
+		prog.Run(cand)
+		p := penaltyAll(prog, constraints)
 		if p <= best {
-			env = cand
+			env, cand = cand, env
 			best = p
 			if best == 0 {
-				minimizeModel(env, constraints, opts.Seed)
-				return Result{Status: StatusSat, Model: env}
+				model := envMap(names, env)
+				minimizeModel(model, prog, opts.Seed)
+				return Result{Status: StatusSat, Model: model}
 			}
 		}
 	}
 	return Result{Status: StatusUnknown}
+}
+
+// envMap converts a slot vector back into a name -> value model.
+func envMap(names []string, env []uint64) map[string]uint64 {
+	m := make(map[string]uint64, len(names))
+	for s, n := range names {
+		m[n] = env[s]
+	}
+	return m
 }
 
 func maskFor(w int) uint64 {
@@ -440,13 +444,13 @@ func mutate(rng *rand.Rand, v uint64, w int) uint64 {
 // bytes of argv1.
 type byteGroup struct {
 	prefix string
-	names  []string // index i -> full variable name, dense from 0
+	slots  []int // index i -> the variable's slot, dense from 0
 }
 
-func byteGroups(names []string, widths map[string]int) []byteGroup {
-	byPrefix := make(map[string]map[int]string)
-	for _, n := range names {
-		if widths[n] != 8 {
+func byteGroups(prog *sym.Program) []byteGroup {
+	byPrefix := make(map[string]map[int]int)
+	for s, n := range prog.Vars() {
+		if prog.Width(s) != 8 {
 			continue
 		}
 		open := -1
@@ -465,21 +469,21 @@ func byteGroups(names []string, widths map[string]int) []byteGroup {
 		}
 		p := n[:open+1]
 		if byPrefix[p] == nil {
-			byPrefix[p] = make(map[int]string)
+			byPrefix[p] = make(map[int]int)
 		}
-		byPrefix[p][idx] = n
+		byPrefix[p][idx] = s
 	}
 	var out []byteGroup
 	for p, m := range byPrefix {
 		g := byteGroup{prefix: p}
 		for i := 0; ; i++ {
-			n, ok := m[i]
+			s, ok := m[i]
 			if !ok {
 				break
 			}
-			g.names = append(g.names, n)
+			g.slots = append(g.slots, s)
 		}
-		if len(g.names) > 0 {
+		if len(g.slots) > 0 {
 			out = append(out, g)
 		}
 	}
@@ -490,7 +494,7 @@ func byteGroups(names []string, widths map[string]int) []byteGroup {
 // the group's byte variables (NUL padded). This is the move that cracks
 // "1024 + x == 1024 && x > 0"-style constraints: it proposes numbers
 // spanning forty orders of magnitude.
-func renderNumeric(rng *rand.Rand, env map[string]uint64, g byteGroup) {
+func renderNumeric(rng *rand.Rand, env []uint64, g byteGroup) {
 	exp := rng.Float64()*40 - 20 // 1e-20 .. 1e+20
 	v := math.Pow(10, exp)
 	if rng.Intn(4) == 0 {
@@ -500,35 +504,35 @@ func renderNumeric(rng *rand.Rand, env map[string]uint64, g byteGroup) {
 		v = math.Trunc(v)
 	}
 	s := strconv.FormatFloat(v, 'f', -1, 64)
-	for i, name := range g.names {
+	for i, slot := range g.slots {
 		if i < len(s) {
-			env[name] = uint64(s[i])
+			env[slot] = uint64(s[i])
 		} else {
-			env[name] = 0
+			env[slot] = 0
 		}
 	}
 }
 
-// penaltyAll sums the distance of every constraint from satisfaction;
-// zero means the assignment is a model.
-func penaltyAll(constraints []sym.Expr, env map[string]uint64) float64 {
+// penaltyAll sums, over the roots of the last program run, the distance
+// of every constraint from satisfaction; zero means the assignment is a
+// model.
+func penaltyAll(prog *sym.Program, constraints []sym.Expr) float64 {
 	var total float64
-	for _, c := range constraints {
-		total += penalty(c, env)
+	for i, c := range constraints {
+		total += penalty(prog, i, c)
 	}
 	return total
 }
 
-// penalty returns 0 when the width-1 constraint holds, and a positive
-// distance measure otherwise, shaped so hill climbing has gradients on
-// comparisons.
-func penalty(c sym.Expr, env map[string]uint64) float64 {
-	if sym.Eval(c, env) == 1 {
+// penalty returns 0 when root i (the width-1 constraint c) holds, and a
+// positive distance measure otherwise, shaped so hill climbing has
+// gradients on comparisons.
+func penalty(prog *sym.Program, i int, c sym.Expr) float64 {
+	if prog.Value(i) == 1 {
 		return 0
 	}
 	if b, ok := c.(*sym.Bin); ok && b.Op.IsCompare() {
-		av := sym.Eval(b.A, env)
-		bv := sym.Eval(b.B, env)
+		av, bv, _ := prog.Operands(i)
 		switch b.Op {
 		case sym.OpFEq, sym.OpFLt, sym.OpFLe:
 			fa, fb := math.Float64frombits(av), math.Float64frombits(bv)

@@ -9,7 +9,6 @@ package sym
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -400,187 +399,4 @@ func smtExpr(e Expr) string {
 			smtExpr(t.Cond), smtExpr(t.Then), smtExpr(t.Else))
 	}
 	return "?"
-}
-
-// evalMemoMin is the tree size beyond which Eval switches from the
-// plain recursive walk to a memoized one. The memo exists to tame
-// exponential tree blowup on heavily-shared DAGs, where the tree count
-// dwarfs this threshold immediately; flat terms with little sharing
-// stay on the allocation-free walk, which matters because the FP local
-// search evaluates the same modest terms hundreds of thousands of
-// times and a per-call map there costs more than the walk itself.
-const evalMemoMin = 4096
-
-// Eval computes the concrete value of e under the environment (variable
-// name -> value). Missing variables evaluate to zero.
-//
-// Expressions are DAGs with heavy sharing, and hash-consing makes the
-// sharing pervasive: a term's tree form can be exponentially larger
-// than its node count. Eval therefore memoizes shared subterms when the
-// precomputed tree count (stamped at interning) is large, staying
-// linear in distinct nodes; small terms keep the allocation-free walk.
-func Eval(e Expr, env map[string]uint64) uint64 {
-	if m := meta(e); m != nil && m.tn > evalMemoMin {
-		return evalExpr(e, env, make(map[Expr]uint64))
-	}
-	return evalExpr(e, env, nil)
-}
-
-func evalExpr(e Expr, env map[string]uint64, memo map[Expr]uint64) uint64 {
-	if memo != nil {
-		if v, ok := memo[e]; ok {
-			return v
-		}
-	}
-	v := evalNode(e, env, memo)
-	if memo != nil {
-		switch e.(type) {
-		case *Bin, *Un, *ITE:
-			memo[e] = v
-		}
-	}
-	return v
-}
-
-func evalNode(e Expr, env map[string]uint64, memo map[Expr]uint64) uint64 {
-	switch t := e.(type) {
-	case *Const:
-		return t.V
-	case *Var:
-		return env[t.Name] & mask(t.W)
-	case *Bin:
-		a := evalExpr(t.A, env, memo)
-		b := evalExpr(t.B, env, memo)
-		if t.Op == OpConcat {
-			return ((a << uint(t.B.Width())) | b) & mask(t.w)
-		}
-		return evalBin(t.Op, a, b, t.A.Width()) & mask(t.w)
-	case *Un:
-		a := evalExpr(t.A, env, memo)
-		switch t.Op {
-		case OpNot:
-			return ^a & mask(t.w)
-		case OpNeg:
-			return (-a) & mask(t.w)
-		case OpZExt:
-			return a
-		case OpSExt:
-			return signExtend(a, t.A.Width()) & mask(t.w)
-		case OpExtract:
-			return (a >> uint(t.Arg2)) & mask(t.w)
-		case OpI2F:
-			return math.Float64bits(float64(int64(signExtend(a, t.A.Width()))))
-		case OpF2I:
-			f := math.Float64frombits(a)
-			switch {
-			case math.IsNaN(f):
-				return 0
-			case f >= math.MaxInt64:
-				return math.MaxInt64
-			case f <= math.MinInt64:
-				return 0x8000_0000_0000_0000
-			default:
-				return uint64(int64(f))
-			}
-		case OpBoolNot:
-			return (a ^ 1) & 1
-		}
-	case *ITE:
-		if evalExpr(t.Cond, env, memo)&1 == 1 {
-			return evalExpr(t.Then, env, memo)
-		}
-		return evalExpr(t.Else, env, memo)
-	}
-	return 0
-}
-
-func signExtend(v uint64, w int) uint64 {
-	if w >= 64 {
-		return v
-	}
-	if v&(uint64(1)<<(uint(w)-1)) != 0 {
-		return v | ^mask(w)
-	}
-	return v
-}
-
-func boolBit(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func evalBin(op BinOp, a, b uint64, w int) uint64 {
-	switch op {
-	case OpAdd:
-		return a + b
-	case OpSub:
-		return a - b
-	case OpMul:
-		return a * b
-	case OpUDiv:
-		if b == 0 {
-			return mask(w)
-		}
-		return a / b
-	case OpSDiv:
-		if b == 0 {
-			return mask(w)
-		}
-		sa, sb := int64(signExtend(a, w)), int64(signExtend(b, w))
-		return uint64(sa / sb)
-	case OpURem:
-		if b == 0 {
-			return a
-		}
-		return a % b
-	case OpSRem:
-		if b == 0 {
-			return a
-		}
-		sa, sb := int64(signExtend(a, w)), int64(signExtend(b, w))
-		return uint64(sa % sb)
-	case OpAnd:
-		return a & b
-	case OpOr:
-		return a | b
-	case OpXor:
-		return a ^ b
-	case OpShl:
-		return a << (b & uint64(w-1))
-	case OpLShr:
-		return a >> (b & uint64(w-1))
-	case OpAShr:
-		return uint64(int64(signExtend(a, w)) >> (b & uint64(w-1)))
-	case OpEq:
-		return boolBit(a == b)
-	case OpNe:
-		return boolBit(a != b)
-	case OpUlt:
-		return boolBit(a < b)
-	case OpUle:
-		return boolBit(a <= b)
-	case OpSlt:
-		return boolBit(int64(signExtend(a, w)) < int64(signExtend(b, w)))
-	case OpSle:
-		return boolBit(int64(signExtend(a, w)) <= int64(signExtend(b, w)))
-	case OpConcat:
-		return 0 // handled by caller widths; see NewConcat
-	case OpFAdd:
-		return math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
-	case OpFSub:
-		return math.Float64bits(math.Float64frombits(a) - math.Float64frombits(b))
-	case OpFMul:
-		return math.Float64bits(math.Float64frombits(a) * math.Float64frombits(b))
-	case OpFDiv:
-		return math.Float64bits(math.Float64frombits(a) / math.Float64frombits(b))
-	case OpFEq:
-		return boolBit(math.Float64frombits(a) == math.Float64frombits(b))
-	case OpFLt:
-		return boolBit(math.Float64frombits(a) < math.Float64frombits(b))
-	case OpFLe:
-		return boolBit(math.Float64frombits(a) <= math.Float64frombits(b))
-	}
-	return 0
 }
