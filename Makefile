@@ -8,9 +8,10 @@ GO ?= go
 # (against the tree-walk oracle), the COW memory
 # (clone/write vs a deep-copy reference model), the incremental/
 # fresh solver equivalence, the portfolio/fresh equivalence, the
-# job-journal replay (against an in-memory reference model) and the
-# symbolic-store weak-update image (against a concrete-memory reference
-# model), then the full suite.
+# recycled-workspace/fresh solver equivalence, the job-journal replay
+# (against an in-memory reference model) and the symbolic-store
+# weak-update image (against a concrete-memory reference model), then
+# the full suite.
 ci: vet build race fuzz test
 
 vet:
@@ -32,6 +33,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMemoryCOW -fuzztime=5s ./internal/mem/
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalEquivalence -fuzztime=5s ./internal/solver/
 	$(GO) test -run '^$$' -fuzz FuzzPortfolioEquivalence -fuzztime=5s ./internal/solver/
+	$(GO) test -run '^$$' -fuzz FuzzPooledEquivalence -fuzztime=5s ./internal/solver/
 	$(GO) test -run '^$$' -fuzz FuzzMutateDeterminism -fuzztime=5s ./internal/mutate/
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime=5s ./internal/jobstore/
 	$(GO) test -run '^$$' -fuzz FuzzSymbolicWriteEquivalence -fuzztime=5s ./internal/symexec/

@@ -49,10 +49,35 @@ func New(s *sat.Solver) *Encoder {
 		varBit: make(map[string][]int),
 		cache:  make(map[sym.Expr][]sat.Lit),
 	}
-	t := s.NewVar()
-	e.tru = sat.MkLit(t, false)
-	s.AddClause(e.tru)
+	e.assertTrue()
 	return e
+}
+
+// assertTrue allocates the constant-true literal every encoding starts
+// from.
+func (e *Encoder) assertTrue() {
+	e.tru = sat.MkLit(e.s.NewVar(), false)
+	e.s.AddClause(e.tru)
+}
+
+// Reset returns the encoder and its solver to the state New leaves them
+// in, keeping the solver's buffers and the maps' storage for the next
+// system. Encoding after Reset allocates the same variables and clauses,
+// in the same order, as encoding on a fresh encoder.
+func (e *Encoder) Reset() {
+	e.s.Reset()
+	clear(e.varBit)
+	clear(e.cache)
+	e.gates, e.guards, e.overflow = 0, 0, false
+	e.assertTrue()
+}
+
+// MemBytes estimates the bytes a recycled encoder keeps alive between
+// systems: the solver's buffers plus the storage of the node cache,
+// whose map keeps its buckets across Reset.
+func (e *Encoder) MemBytes() int {
+	const perEntry = 64 // interface key, slice header, control byte, slack
+	return e.s.MemBytes() + perEntry*len(e.cache)
 }
 
 // Gates returns the number of fresh gate variables allocated so far —

@@ -1,6 +1,7 @@
 package bitblast
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -312,4 +313,51 @@ func TestSharedSubtermEncodedOnce(t *testing.T) {
 		t.Errorf("second assert allocated %d gates on top of %d; shared subterm was re-encoded", grew, g1)
 	}
 
+}
+
+// TestResetMatchesNew encodes a system on an encoder that already lowered
+// a different one, guarded constraints included, and then Reset: the
+// circuit, the search and the model must be those of a fresh encoder.
+func TestResetMatchesNew(t *testing.T) {
+	x := sym.NewVar("x", 64)
+	y := sym.NewVar("y", 64)
+	z := sym.NewVar("z", 16)
+	first := []sym.Expr{
+		sym.NewBin(sym.OpEq, sym.NewBin(sym.OpURem, x, y), sym.NewConst(3, 64)),
+		sym.NewBin(sym.OpUlt, sym.NewConst(9, 64), y),
+	}
+	second := []sym.Expr{
+		sym.NewBin(sym.OpEq, sym.NewBin(sym.OpMul, x, sym.NewConst(10, 64)), sym.NewConst(420, 64)),
+		sym.NewBin(sym.OpSlt, sym.NewZExt(z, 64), sym.NewBin(sym.OpShl, y, sym.NewConst(2, 64))),
+		sym.NewBin(sym.OpNe, sym.NewConcat(z, sym.NewExtract(y, 15, 0)), sym.NewConst(0, 32)),
+	}
+	run := func(e *Encoder, s *sat.Solver) string {
+		for _, c := range second {
+			if err := e.Assert(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := s.Solve(0)
+		return fmt.Sprintf("vars=%d clauses=%d gates=%d guards=%d status=%v stats=%+v model=%v",
+			s.NumVars(), s.NumClauses(), e.Gates(), e.Guards(), st, s.Stats(), e.Model())
+	}
+
+	fresh := sat.New()
+	want := run(New(fresh), fresh)
+
+	s := sat.New()
+	e := New(s)
+	for _, c := range first {
+		if _, err := e.AssertGuarded(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Assert(first[1]); err != nil {
+		t.Fatal(err)
+	}
+	s.Solve(0)
+	e.Reset()
+	if got := run(e, s); got != want {
+		t.Errorf("after Reset:\n got  %s\n want %s", got, want)
+	}
 }

@@ -160,6 +160,72 @@ func New() *Solver {
 	return s
 }
 
+// Reset returns the solver to exactly the state New leaves it in —
+// no variables, no clauses, zero counters, default configuration, no
+// learn hook, no queued imports — while keeping every buffer's capacity,
+// so a recycled solver decides its next instance without regrowing the
+// arena, the watcher pool or the per-variable arrays. The search a reset
+// solver runs is identical to a fresh one's: nothing it reads survives
+// beyond spare capacity, which is always written before it is read.
+func (s *Solver) Reset() {
+	s.mem = s.mem[:0]
+	s.wasted = 0
+	s.clauses = s.clauses[:0]
+	s.learned = s.learned[:0]
+	s.watches = s.watches[:0]
+	s.pool = s.pool[:0]
+
+	s.assign = s.assign[:0]
+	s.level = s.level[:0]
+	s.reason = s.reason[:0]
+	s.trail = s.trail[:0]
+	s.trailLim = s.trailLim[:0]
+	s.qhead = 0
+
+	s.seen = s.seen[:0]
+	s.learnBuf = s.learnBuf[:0]
+	s.litStamp = s.litStamp[:0]
+	s.stamp = 0
+	s.addBuf = s.addBuf[:0]
+
+	s.activity = s.activity[:0]
+	s.varInc = 1
+	s.order.act = s.activity
+	s.order.heap = s.order.heap[:0]
+	s.order.indices = s.order.indices[:0]
+	s.polarity = s.polarity[:0]
+
+	s.clauseInc = 1
+	s.ok = true
+	s.conflicts, s.props, s.restarts, s.learnedN, s.deletedN = 0, 0, 0, 0, 0
+
+	s.cfg = Config{}
+	s.rng = nil
+	s.learnHook = nil
+	s.importQ = nil
+	s.importedN, s.exportedN = 0, 0
+	s.lbdSeen = s.lbdSeen[:0]
+	s.lbdStamp = 0
+
+	s.model = s.model[:0]
+	s.finalConf = s.finalConf[:0]
+}
+
+// MemBytes returns the bytes held by the solver's buffers at their
+// current capacities: what a recycled solver keeps alive between
+// instances.
+func (s *Solver) MemBytes() int {
+	const word = 4 // Lit, cref, int32, uint32
+	n := word * (cap(s.mem) + cap(s.clauses) + cap(s.reason) + cap(s.trail) +
+		cap(s.learnBuf) + cap(s.litStamp) + cap(s.addBuf) + cap(s.finalConf) +
+		cap(s.order.heap) + cap(s.order.indices) + cap(s.level))
+	n += 16 * cap(s.learned)
+	n += 12 * cap(s.watches)
+	n += 8 * (cap(s.pool) + cap(s.activity) + cap(s.trailLim) + cap(s.lbdSeen))
+	n += cap(s.assign) + cap(s.seen) + cap(s.polarity) + cap(s.model)
+	return n
+}
+
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
 	v := len(s.assign)

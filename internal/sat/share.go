@@ -4,8 +4,8 @@ import "math/rand"
 
 // Config diversifies a solver instance for portfolio solving. The zero
 // value reproduces the default (deterministic) configuration exactly, so
-// existing call sites are unaffected. Configure before adding variables:
-// InvertPolarity seeds the saved phase of variables allocated afterwards.
+// existing call sites are unaffected. Configure before adding clauses:
+// InvertPolarity seeds the saved phase of every variable.
 type Config struct {
 	// RandSeed seeds the random-branching source. Only consulted when
 	// RandomBranchFreq > 0.
@@ -24,10 +24,15 @@ type Config struct {
 	InvertPolarity bool
 }
 
-// Configure applies a diversification config. Call it on a fresh solver,
-// before NewVar / AddClause.
+// Configure applies a diversification config. Call it on a fresh or
+// reset solver, before the instance's clauses are added; an encoder's
+// constant-true unit may already be there. Variables already allocated
+// get the saved phase they would have had if allocated after the call.
 func (s *Solver) Configure(cfg Config) {
 	s.cfg = cfg
+	for v := range s.polarity {
+		s.polarity[v] = cfg.InvertPolarity
+	}
 	if cfg.RandomBranchFreq > 0 {
 		s.rng = rand.New(rand.NewSource(cfg.RandSeed))
 	}

@@ -96,11 +96,27 @@ func factorSystem(w int, n uint64) []sym.Expr {
 	}
 }
 
-// blastSolve bit-blasts system onto a fresh (optionally configured)
-// solver and searches it under a conflict budget.
-func blastSolve(t *testing.T, name string, system []sym.Expr, budget int64, cfg *sat.Config) trajectory {
-	t.Helper()
+// solvers supplies the solver for each golden instance: a fresh one, or
+// the same recycled one after Reset.
+type solvers func() *sat.Solver
+
+// freshSolvers builds a new solver per instance.
+func freshSolvers() *sat.Solver { return sat.New() }
+
+// reusedSolvers hands out one solver, reset before every instance.
+func reusedSolvers() solvers {
 	s := sat.New()
+	return func() *sat.Solver {
+		s.Reset()
+		return s
+	}
+}
+
+// blastSolve bit-blasts system onto a new (optionally configured)
+// solver from src and searches it under a conflict budget.
+func blastSolve(t *testing.T, src solvers, name string, system []sym.Expr, budget int64, cfg *sat.Config) trajectory {
+	t.Helper()
+	s := src()
 	if cfg != nil {
 		s.Configure(*cfg)
 	}
@@ -158,16 +174,16 @@ func tableIIQueries(t *testing.T, bomb string, p tools.Profile, limit int) [][]s
 	return out
 }
 
-// trajectories runs every golden instance.
-func trajectories(t *testing.T) []trajectory {
+// trajectories runs every golden instance on solvers from src.
+func trajectories(t *testing.T, src solvers) []trajectory {
 	var out []trajectory
 	for _, n := range []int{5, 6, 7} {
-		s := sat.New()
+		s := src()
 		pigeonholeInto(s, n)
 		out = append(out, fingerprint(fmt.Sprintf("pigeonhole-%d", n), s, s.Solve(0)))
 	}
 	{
-		s := sat.New()
+		s := src()
 		const n = 2000
 		for j := 0; j < n; j++ {
 			s.NewVar()
@@ -195,9 +211,9 @@ func trajectories(t *testing.T) []trajectory {
 	}
 	for _, f := range factors {
 		system := factorSystem(f.w, f.n)
-		out = append(out, blastSolve(t, f.name, system, f.budget, nil))
+		out = append(out, blastSolve(t, src, f.name, system, f.budget, nil))
 		for i := range diversified {
-			out = append(out, blastSolve(t, fmt.Sprintf("%s/config%d", f.name, i), system, f.budget, &diversified[i]))
+			out = append(out, blastSolve(t, src, fmt.Sprintf("%s/config%d", f.name, i), system, f.budget, &diversified[i]))
 		}
 	}
 	for _, q := range []struct {
@@ -213,19 +229,19 @@ func trajectories(t *testing.T) []trajectory {
 		{"srand", tools.Reference(), 3},
 	} {
 		for i, system := range tableIIQueries(t, q.bomb, q.tool, q.limit) {
-			out = append(out, blastSolve(t, fmt.Sprintf("%s/%s/q%d", q.bomb, q.tool.Name(), i), system, 2_000, nil))
+			out = append(out, blastSolve(t, src, fmt.Sprintf("%s/%s/q%d", q.bomb, q.tool.Name(), i), system, 2_000, nil))
 		}
 	}
-	out = append(out, incremental(t)...)
-	return append(out, exchanged(t))
+	out = append(out, incremental(t, src)...)
+	return append(out, exchanged(t, src))
 }
 
 // incremental decides a run of factoring queries on one persistent
 // instance, each negation behind a guard literal that is retired after
 // its check — the session discipline, covering assumption-level Unsat
 // and the final-conflict analysis.
-func incremental(t *testing.T) []trajectory {
-	s := sat.New()
+func incremental(t *testing.T, src solvers) []trajectory {
+	s := src()
 	enc := bitblast.New(s)
 	base := factorSystem(18, 0)
 	for _, c := range base[1:] {
@@ -250,31 +266,35 @@ func incremental(t *testing.T) []trajectory {
 
 // exchanged runs a diversified solver that imports the clauses a default
 // solver learned on the same system — the portfolio's clause exchange.
-func exchanged(t *testing.T) trajectory {
+// Bit-blasting is deterministic, so the two encodings number their
+// variables alike; the exporter finishes before the importer is built,
+// which lets both come from one recycled solver.
+func exchanged(t *testing.T, src solvers) trajectory {
 	system := factorSystem(20, 1048573)
+	assertAll := func(s *sat.Solver) {
+		enc := bitblast.New(s)
+		for _, c := range system {
+			if err := enc.Assert(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	var learned [][]sat.Lit
-	a := sat.New()
+	a := src()
 	a.SetLearnHook(func(lits []sat.Lit, lbd int) {
 		if lbd <= 4 {
 			learned = append(learned, lits)
 		}
 	})
-	encA := bitblast.New(a)
-	b := sat.New()
-	b.Configure(sat.Config{RestartGeometric: true, RestartBase: 50})
-	encB := bitblast.New(b)
-	for _, c := range system {
-		if err := encA.Assert(c); err != nil {
-			t.Fatal(err)
-		}
-		if err := encB.Assert(c); err != nil {
-			t.Fatal(err)
-		}
-	}
+	assertAll(a)
 	a.Solve(1_000)
+	exported := a.Stats().Exported
+	b := src()
+	b.Configure(sat.Config{RestartGeometric: true, RestartBase: 50})
+	assertAll(b)
 	b.ImportLearned(learned)
 	tr := fingerprint("exchange", b, b.Solve(4_000))
-	tr.name += fmt.Sprintf(" exported=%d imported=%d", a.Stats().Exported, b.Stats().Imported)
+	tr.name += fmt.Sprintf(" exported=%d imported=%d", exported, b.Stats().Imported)
 	return tr
 }
 
@@ -287,20 +307,47 @@ func TestTrajectoryGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves every golden instance")
 	}
-	var b strings.Builder
-	for _, tr := range trajectories(t) {
-		b.WriteString(tr.String())
-		b.WriteByte('\n')
-	}
-	const golden = "testdata/trajectory.golden"
+	got := trajectories(t, freshSolvers)
 	if *update {
+		var b strings.Builder
+		for _, tr := range got {
+			b.WriteString(tr.String())
+			b.WriteByte('\n')
+		}
 		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	checkGolden(t, got)
+}
+
+// TestTrajectoryGoldenReused replays every golden instance on one
+// solver, reset between instances, and requires the fresh-solver
+// trajectories exactly: Reset must leave nothing the search can read.
+// The replay starts after a dirty instance — a learn hook, a
+// diversified Configure and imported clauses — so those must be reset
+// too.
+func TestTrajectoryGoldenReused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves every golden instance")
+	}
+	src := reusedSolvers()
+	dirty := exchanged(t, src)
+	got := trajectories(t, src)
+	if last := got[len(got)-1]; last != dirty {
+		t.Errorf("exchange instance moved between runs:\n first %s\n again %s", dirty, last)
+	}
+	checkGolden(t, got)
+}
+
+const golden = "testdata/trajectory.golden"
+
+// checkGolden compares trajectories line by line with the golden file.
+func checkGolden(t *testing.T, trs []trajectory) {
+	t.Helper()
 	f, err := os.Open(golden)
 	if err != nil {
-		t.Fatalf("%v (run with -update to create)", err)
+		t.Fatalf("%v (run TestTrajectoryGolden with -update to create)", err)
 	}
 	defer f.Close()
 	var want []string
@@ -308,13 +355,12 @@ func TestTrajectoryGolden(t *testing.T) {
 	for sc.Scan() {
 		want = append(want, sc.Text())
 	}
-	got := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
-	if len(got) != len(want) {
-		t.Fatalf("%d instances, golden has %d", len(got), len(want))
+	if len(trs) != len(want) {
+		t.Fatalf("%d instances, golden has %d", len(trs), len(want))
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("trajectory moved:\n got  %s\n want %s", got[i], want[i])
+	for i, tr := range trs {
+		if got := tr.String(); got != want[i] {
+			t.Errorf("trajectory moved:\n got  %s\n want %s", got, want[i])
 		}
 	}
 }

@@ -22,6 +22,7 @@ func BenchmarkAtoiChainSolve(b *testing.B) {
 		sym.NewBin(sym.OpUle, b1, sym.NewConst('9', 64)),
 		sym.NewBin(sym.OpEq, v, sym.NewConst(42, 64)),
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := Solve(cs, Options{})

@@ -3,12 +3,10 @@ package solver
 import (
 	"context"
 	"encoding/hex"
-	"errors"
 	"strconv"
 	"sync"
 	"time"
 
-	"repro/internal/bitblast"
 	"repro/internal/exchange"
 	"repro/internal/sat"
 	"repro/internal/sym"
@@ -382,8 +380,8 @@ func (p *Portfolio) race(system []sym.Expr, opts Options, stableKey string, rand
 	return unknown, anyTimedOut, nil
 }
 
-// freshWorker encodes and solves system on a fresh diversified CDCL
-// instance, publishing learned clauses to — and adopting peers' clauses
+// freshWorker encodes and solves system on a recycled diversified CDCL
+// workspace, publishing learned clauses to — and adopting peers' clauses
 // from — the exchange at restart boundaries.
 func (p *Portfolio) freshWorker(ctx context.Context, system []sym.Expr, opts Options,
 	cfg sat.Config, exKey string, origin int) (st Status, model map[string]uint64,
@@ -393,23 +391,12 @@ func (p *Portfolio) freshWorker(ctx context.Context, system []sym.Expr, opts Opt
 	defer clock.stop()
 	expired := clock.expired
 
-	s := sat.New()
-	s.Configure(cfg)
-	enc := bitblast.New(s)
-	for _, c := range system {
-		if expired() {
-			return StatusUnknown, nil, 0, true, 0, 0, nil
-		}
-		if aerr := enc.Assert(c); aerr != nil {
-			if errors.Is(aerr, bitblast.ErrFloat) {
-				return StatusFloatUnsupported, nil, 0, false, 0, 0, nil
-			}
-			if errors.Is(aerr, bitblast.ErrBudget) {
-				return StatusUnknown, nil, 0, false, 0, 0, nil
-			}
-			return 0, nil, 0, false, 0, 0, aerr
-		}
+	ws, st, timedOut, err := encodeSystem(system, cfg, expired)
+	if ws == nil {
+		return st, nil, 0, timedOut, 0, 0, err
 	}
+	defer ws.release()
+	s := ws.s
 
 	cursor := 0
 	if p.ex != nil {
@@ -441,15 +428,7 @@ func (p *Portfolio) freshWorker(ctx context.Context, system []sym.Expr, opts Opt
 	}
 
 	res := s.SolveInterruptible(opts.MaxConflicts, time.Time{}, probe)
+	st, model, timedOut = ws.verdict(res, expired)
 	stats := s.Stats()
-	conflicts = stats.Conflicts
-	imported = stats.Imported
-	switch res {
-	case sat.Sat:
-		return StatusSat, enc.Model(), conflicts, false, imported, shared, nil
-	case sat.Unsat:
-		return StatusUnsat, nil, conflicts, false, imported, shared, nil
-	default:
-		return StatusUnknown, nil, conflicts, expired(), imported, shared, nil
-	}
+	return st, model, stats.Conflicts, timedOut, stats.Imported, shared, nil
 }

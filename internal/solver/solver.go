@@ -17,10 +17,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"strconv"
 	"time"
 
-	"repro/internal/bitblast"
 	"repro/internal/sat"
 	"repro/internal/sym"
 )
@@ -177,32 +177,14 @@ func solveBV(ctx context.Context, constraints []sym.Expr, opts Options) (st Stat
 	clock := startQuery(ctx, opts.Timeout)
 	defer clock.stop()
 	expired := clock.expired
-	s := sat.New()
-	enc := bitblast.New(s)
-	for _, c := range constraints {
-		if expired() {
-			return StatusUnknown, nil, 0, true, nil
-		}
-		if err := enc.Assert(c); err != nil {
-			if errors.Is(err, bitblast.ErrFloat) {
-				return StatusFloatUnsupported, nil, 0, false, nil
-			}
-			if errors.Is(err, bitblast.ErrBudget) {
-				return StatusUnknown, nil, 0, false, nil
-			}
-			return 0, nil, 0, false, err
-		}
+	ws, st, timedOut, err := encodeSystem(constraints, sat.Config{}, expired)
+	if ws == nil {
+		return st, nil, 0, timedOut, err
 	}
-	res := s.SolveInterruptible(opts.MaxConflicts, time.Time{}, expired)
-	conflicts = s.Stats().Conflicts
-	switch res {
-	case sat.Sat:
-		return StatusSat, enc.Model(), conflicts, false, nil
-	case sat.Unsat:
-		return StatusUnsat, nil, conflicts, false, nil
-	default:
-		return StatusUnknown, nil, conflicts, expired(), nil
-	}
+	defer ws.release()
+	res := ws.s.SolveInterruptible(opts.MaxConflicts, time.Time{}, expired)
+	st, model, timedOut = ws.verdict(res, expired)
+	return st, model, ws.s.Stats().Conflicts, timedOut, nil
 }
 
 // minimizeModel greedily resets variables to their seed values where the
@@ -473,11 +455,18 @@ func byteGroups(prog *sym.Program) []byteGroup {
 		}
 		byPrefix[p][idx] = s
 	}
+	// Groups in prefix order: the search draws a group by index, so the
+	// order must not follow map iteration.
+	prefixes := make([]string, 0, len(byPrefix))
+	for p := range byPrefix {
+		prefixes = append(prefixes, p)
+	}
+	sort.Strings(prefixes)
 	var out []byteGroup
-	for p, m := range byPrefix {
+	for _, p := range prefixes {
 		g := byteGroup{prefix: p}
 		for i := 0; ; i++ {
-			s, ok := m[i]
+			s, ok := byPrefix[p][i]
 			if !ok {
 				break
 			}

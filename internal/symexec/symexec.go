@@ -333,9 +333,10 @@ type exec struct {
 	exitStatus  map[int]sym.Expr
 	pendingWait map[int][]int
 
-	seen      map[string]bool // incident dedup
-	gapPID    map[int]bool    // reported untracked-process gaps
-	gapTID    map[int]bool    // reported untracked-thread gaps
+	envDep    map[sym.Expr]bool // containsEnvVar memo
+	seen      map[string]bool   // incident dedup
+	gapPID    map[int]bool      // reported untracked-process gaps
+	gapTID    map[int]bool      // reported untracked-thread gaps
 	simSeq    int
 	winLoads  int
 	winWrites int
@@ -381,6 +382,7 @@ func Run(img *bin.Image, tr *trace.Trace, argv []gos.Region, argvStr []string, o
 		pendingFork: make(map[int][16]sym.Expr),
 		exitStatus:  make(map[int]sym.Expr),
 		pendingWait: make(map[int][]int),
+		envDep:      make(map[sym.Expr]bool),
 		seen:        make(map[string]bool),
 		extAddr:     make(map[uint64]string),
 		skipExt:     make(map[int]*extReturn),
@@ -514,20 +516,26 @@ func (x *exec) newVar(name string, w int, seed uint64) sym.Expr {
 	return sym.NewVar(name, w)
 }
 
-func containsEnvVar(e sym.Expr) bool {
-	for _, n := range sym.Vars(e) {
-		if IsEnvVar(n) {
-			return true
-		}
+// containsEnvVar reports whether e reads an undeclared environment
+// variable. The answer for every node is memoised for the run, keyed on
+// the interned node, so the path DAG a branch condition shares with
+// earlier ones (the argv decoder behind every comparison) is walked once
+// per trace, not once per branch.
+func (x *exec) containsEnvVar(e sym.Expr) bool {
+	if d, ok := x.envDep[e]; ok {
+		return d
 	}
-	return false
-}
-
-func containsSimVar(e sym.Expr) bool {
-	for _, n := range sym.Vars(e) {
-		if IsSimVar(n) {
-			return true
-		}
+	var d bool
+	switch t := e.(type) {
+	case *sym.Var:
+		d = IsEnvVar(t.Name)
+	case *sym.Bin:
+		d = x.containsEnvVar(t.A) || x.containsEnvVar(t.B)
+	case *sym.Un:
+		d = x.containsEnvVar(t.A)
+	case *sym.ITE:
+		d = x.containsEnvVar(t.Cond) || x.containsEnvVar(t.Then) || x.containsEnvVar(t.Else)
 	}
-	return false
+	x.envDep[e] = d
+	return d
 }
